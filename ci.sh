@@ -14,6 +14,22 @@ cargo build --release --workspace
 echo "==> cargo test -q (incl. differential campaign + golden snapshots)"
 CCS_DIFF_CASES="${CCS_DIFF_CASES:-200}" cargo test -q
 
+# Every crate-internal unit test, integration test and doctest of the
+# workspace (the plain `cargo test` above covers the root package only).
+echo "==> cargo test --workspace --release"
+CCS_DIFF_CASES="${CCS_DIFF_CASES:-200}" cargo test --workspace --release -q
+
+# Manifest pin: the committed checkpoint manifest must regenerate line
+# for line. Its digests hash every cell's full result, so any drift in
+# the simulator or in the record digest shows up here.
+echo "==> committed manifest regenerates (results/checkpoints/grid_campaign.jsonl)"
+PIN_MANIFEST="$(mktemp -u)"
+CCS_LEN=1500 CCS_MANIFEST="$PIN_MANIFEST" target/release/grid_campaign >/dev/null
+diff <(sort "$PIN_MANIFEST") <(sort results/checkpoints/grid_campaign.jsonl) \
+    || { echo "grid_campaign no longer reproduces the committed manifest"; exit 1; }
+rm -f "$PIN_MANIFEST"
+echo "    all records byte-identical"
+
 # Fault-injection smoke: a bounded slice of the 100-cell seeded-fault
 # acceptance grid (panic isolation, deterministic timeouts, bit-identity
 # of the unfaulted cells). CCS_FAULT_CASES bounds the grid; the full

@@ -12,7 +12,11 @@
 //! bit pattern, and an FNV-1a hash over the full per-instruction record
 //! vector — rather than the result itself, which keeps manifests small
 //! while still detecting any divergence between a resumed and a fresh
-//! evaluation.
+//! evaluation. The hash is FNV-1a over the result's `derive(Debug)`
+//! byte stream, emitted directly by [`ccs_sim::digest::result_digest`]
+//! without building the string. Equivalence tests against the formatted
+//! rendering pin it, so committed manifests and serve journals keep
+//! their digests.
 //!
 //! The manifest format is hand-rolled: records are flat and the
 //! workspace deliberately carries no JSON dependency (the vendored
@@ -48,16 +52,6 @@ fn manifest_header() -> String {
     format!("{{\"manifest\":\"ccs-grid-manifest\",\"schema\":{MANIFEST_SCHEMA}}}")
 }
 
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// An FNV-1a accumulator over *explicitly serialized*, type-tagged
 /// fields.
 ///
@@ -71,14 +65,11 @@ struct Fingerprint(u64);
 
 impl Fingerprint {
     fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
+        Fingerprint(ccs_trace::FNV_OFFSET)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = ccs_trace::fnv1a_extend(self.0, bytes);
     }
 
     fn u64(&mut self, v: u64) {
@@ -303,8 +294,11 @@ pub struct CheckpointRecord {
     /// Bit pattern of the measured CPI (0 for failed cells) — exact
     /// equality without float-formatting round trips.
     pub cpi_bits: u64,
-    /// FNV-1a over the debug rendering of the full simulation result
-    /// (0 for failed cells). Bit-identical runs digest identically.
+    /// FNV-1a over the `derive(Debug)` rendering of the full simulation
+    /// result (0 for failed cells). Bit-identical runs digest
+    /// identically. [`ccs_sim::digest::result_digest`] emits the
+    /// rendering's bytes straight into the hash without formatting;
+    /// equivalence tests against `format!("{:?}")` pin the two together.
     pub digest: u64,
     /// [`SimMetrics::digest`](ccs_sim::SimMetrics::digest) of the cell's
     /// observability counters, when the cell ran with
@@ -336,7 +330,7 @@ impl CheckpointRecord {
                 attempts: result.status.attempts(),
                 cycles: o.result.cycles,
                 cpi_bits: o.cpi().to_bits(),
-                digest: fnv1a(format!("{:?}", o.result).as_bytes()),
+                digest: ccs_sim::digest::result_digest(&o.result),
                 metrics_digest: o.metrics.as_ref().map(|m| m.digest()),
                 error: None,
                 predicted_lo: None,

@@ -25,16 +25,7 @@
 //! daemon.
 
 use crate::error::CcsError;
-
-/// 64-bit FNV-1a — the same mixing the checkpoint fingerprint uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use ccs_trace::fnv1a;
 
 /// A ring point: FNV-1a plus a splitmix64-style finalizer. Bare FNV-1a
 /// has poor avalanche on near-identical short strings (the vnode labels

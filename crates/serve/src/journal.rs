@@ -385,8 +385,18 @@ impl Journal {
     /// Appends one event, stamping its sequence number, and flushes the
     /// line. Write failures are swallowed: the journal is an audit
     /// trail, and a full disk must not take the daemon down with it.
-    pub fn append(&self, mut event: JournalEvent) {
+    pub fn append(&self, event: JournalEvent) {
+        self.append_with(|| ((), Some(event)));
+    }
+
+    /// Runs `action` under the journal's lock, then appends the event it
+    /// returns, if any, before any other event can be appended. An
+    /// action and its journal line thus take one step: no other thread's
+    /// line can land between them.
+    pub fn append_with<T>(&self, action: impl FnOnce() -> (T, Option<JournalEvent>)) -> T {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let (out, event) = action();
+        let Some(mut event) = event else { return out };
         let seq = inner.seq;
         inner.seq += 1;
         match &mut event {
@@ -403,6 +413,7 @@ impl Journal {
         line.push('\n');
         let _ = inner.file.write_all(line.as_bytes());
         let _ = inner.file.flush();
+        out
     }
 }
 

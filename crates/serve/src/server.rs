@@ -833,7 +833,25 @@ fn handle_submission(
     shared
         .outstanding
         .fetch_add(job_count as u64, Ordering::SeqCst);
-    match shared.queue.admit(jobs) {
+    // A worker may finish and journal a cell as soon as it is queued, so
+    // the admission is journaled under the same journal lock as the
+    // enqueue: the journal never shows a cell done before the submission
+    // that asked for it.
+    let admitted = JournalEvent::Admitted {
+        seq: 0,
+        id,
+        cells: cells.len() as u64,
+        cached: hits.len() as u64,
+    };
+    let admission = match &shared.journal {
+        Some(j) => j.append_with(|| {
+            let admission = shared.queue.admit(jobs);
+            let event = matches!(admission, Admission::Admitted { .. }).then_some(admitted);
+            (admission, event)
+        }),
+        None => shared.queue.admit(jobs),
+    };
+    match admission {
         Admission::Admitted { .. } => {}
         Admission::Busy { retry_after_hint } => {
             shared
@@ -854,14 +872,6 @@ fn handle_submission(
         }
     }
     shared.metrics.record_admitted(job_count as u64);
-    if let Some(j) = &shared.journal {
-        j.append(JournalEvent::Admitted {
-            seq: 0,
-            id,
-            cells: cells.len() as u64,
-            cached: hits.len() as u64,
-        });
-    }
 
     // Stream the answers. A write failure means the client is gone; the
     // admitted jobs still run (workers ignore the dead channel), so the

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod digest;
 mod engine;
 pub mod policies;
 mod policy;

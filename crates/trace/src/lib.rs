@@ -51,7 +51,9 @@ pub use behavior::{AddrState, AddrStream, BranchBehavior, BranchState};
 pub use builder::{Trace, TraceBuilder};
 pub use dynamic::{DynIdx, DynInst};
 pub use error::TraceError;
-pub use source::{fnv1a, SourceGenerator, SourceId, SourceRegistry};
+pub use source::{
+    fnv1a, fnv1a_extend, SourceGenerator, SourceId, SourceRegistry, FNV_OFFSET, FNV_PRIME,
+};
 pub use stats::TraceStats;
 pub use store::{TraceKey, TraceStore};
 pub use workloads::{phased, try_phased, Benchmark, MAX_TRACE_LEN};

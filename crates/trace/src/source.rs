@@ -22,15 +22,27 @@ use crate::store::TraceStore;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// 64-bit FNV-1a over `bytes` — the same function the checkpoint layer
-/// uses, applied here to canonical manifest text.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state of the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues a 64-bit FNV-1a hash from state `h` over `bytes`. Hashing a
+/// message piece by piece gives the same value as hashing it whole.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one FNV-1a. Source ids
+/// hash canonical manifest text with it; cell keys, shard ring points
+/// and result digests build on it too.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// The identity of a registered trace source: the FNV-1a fingerprint of

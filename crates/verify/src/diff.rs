@@ -12,10 +12,10 @@ const MAX_REPORTED: usize = 8;
 ///
 /// Every timing-relevant quantity is compared: total cycles, the
 /// aggregate counters, the ILP census, and the per-instruction event
-/// times, placements and flags. The engine's binding-constraint
-/// diagnostics (`dispatch_bound`, `ready_bound`, `commit_bound`) are
-/// *not* compared — the oracle deliberately does not reconstruct
-/// attribution, only timing.
+/// times, placements, flags and `ready_bound` (which policies read at
+/// commit). The engine's other binding-constraint diagnostics
+/// (`dispatch_bound`, `commit_bound`) are *not* compared — the oracle
+/// does not reconstruct them.
 pub fn diff_results(engine: &SimResult, oracle: &SimResult) -> Vec<String> {
     let mut out = Vec::new();
     let mut mismatch = |line: String| {
@@ -91,6 +91,7 @@ pub fn diff_results(engine: &SimResult, oracle: &SimResult) -> Vec<String> {
         rcmp!(mispredicted);
         rcmp!(l1_miss);
         rcmp!(mem_extra);
+        rcmp!(ready_bound);
         rcmp!(steer_cause);
         rcmp!(predicted_critical);
         if e.loc.to_bits() != o.loc.to_bits() {

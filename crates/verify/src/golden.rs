@@ -19,7 +19,7 @@
 //! cargo run --release -p ccs-verify --bin regen_golden
 //! ```
 
-use ccs_core::{GridRequest, RunOptions};
+use ccs_core::{CellResult, GridRequest, RunOptions};
 use ccs_critpath::CostCategory;
 use ccs_isa::{ClusterLayout, MachineConfig};
 use ccs_trace::Benchmark;
@@ -62,14 +62,27 @@ pub fn golden_options() -> RunOptions {
 /// Panics if any cell fails to simulate (a checked-mode invariant
 /// violation or a cycle-limit deadlock — both fatal for the corpus).
 pub fn corpus_files(threads: usize) -> Vec<(String, String)> {
-    let results = GridRequest::new(MachineConfig::micro05_baseline(), GOLDEN_LEN)
+    render_corpus(&corpus_cells(threads))
+}
+
+/// Evaluates every golden cell, benchmark-major in [`Benchmark::ALL`]
+/// order, as [`corpus_files`] renders them.
+pub fn corpus_cells(threads: usize) -> Vec<CellResult> {
+    GridRequest::new(MachineConfig::micro05_baseline(), GOLDEN_LEN)
         .benchmarks(Benchmark::ALL)
         .layouts(ClusterLayout::ALL)
         .policies(GOLDEN_POLICIES)
         .sample_seeds([GOLDEN_SEED])
         .options(golden_options())
-        .run(threads);
+        .run(threads)
+}
 
+/// Renders [`corpus_cells`]' results as the corpus files.
+///
+/// # Panics
+///
+/// Panics if any cell failed.
+pub fn render_corpus(results: &[CellResult]) -> Vec<(String, String)> {
     let per_bench = ClusterLayout::ALL.len() * GOLDEN_POLICIES.len();
     let mut files = Vec::new();
     for (bench, cells) in Benchmark::ALL.iter().zip(results.chunks(per_bench)) {
@@ -121,24 +134,17 @@ pub fn corpus_files(threads: usize) -> Vec<(String, String)> {
 }
 
 /// FNV-1a digest over the `Debug` rendering of every instruction
-/// record. The six-decimal CPI and aggregate counters in the snapshot
+/// record, concatenated. [`ccs_sim::digest::records_digest`] emits that
+/// byte stream directly, without formatting; the golden snapshot test
+/// checks it against the formatted rendering on every corpus cell. The
+/// six-decimal CPI and aggregate counters in the snapshot
 /// line can stay unchanged while an individual instruction's schedule
 /// (stage cycles, cluster assignment, bound attribution, memory
 /// latency) silently shifts; the digest folds **every field of every
 /// record** into one value, so any per-record drift fails the corpus
 /// comparison even when the aggregates happen to agree.
 pub fn schedule_digest(records: &[ccs_sim::InstRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut buf = String::new();
-    for r in records {
-        buf.clear();
-        let _ = write!(buf, "{r:?}");
-        for &b in buf.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    ccs_sim::digest::records_digest(records)
 }
 
 /// The rendered-schedule snapshot: a fixed window of a small

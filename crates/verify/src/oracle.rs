@@ -17,6 +17,11 @@
 //!   a bitmask;
 //! * no scratch-buffer reuse, no broadcast-table pruning.
 //!
+//! Of the binding-constraint attribution it reconstructs `ready_bound`
+//! alone, from its own timing: the adaptive policy reads it at every
+//! commit, so without it the two simulators would run different
+//! policies.
+//!
 //! Every helper is a small function over plain data, structured for
 //! auditability: the intended reading order is top to bottom, one
 //! pipeline stage per function. Differential tests drive random traces,
@@ -211,6 +216,46 @@ impl Machine<'_> {
         Some(ready)
     }
 
+    /// Which constraint set the ready cycle of instruction `i` (on
+    /// `cluster`), once every dependence has issued. The engine's rule:
+    /// the latest-visible operand binds, the first in slot order on ties
+    /// (register slots 0 and 1, then the memory dependence as slot 2),
+    /// unless the dispatch floor is later, or equal and the operand
+    /// paid forwarding cycles. Policies read this at commit
+    /// ([`InstRecord::forwarding_on_ready`]), so the oracle must supply
+    /// it for a policy to make the same choices as under the engine.
+    fn ready_bound(&self, i: usize, cluster: usize) -> ReadyBound {
+        let operands = self.trace.as_slice()[i]
+            .deps
+            .iter()
+            .copied()
+            .chain([self.mem_dep[i].map(DynIdx::new)]);
+        let mut best: Option<(Cycle, u8, DynIdx, u32)> = None;
+        for (slot, dep) in operands.enumerate() {
+            let Some(p) = dep else { continue };
+            let visible = self
+                .operand_visible(p.index(), cluster)
+                .expect("an issuing instruction's producers have issued");
+            let complete = self.complete[p.index()].expect("producers have issued");
+            if best.is_none_or(|(v, ..)| visible > v) {
+                best = Some((visible, slot as u8, p, (visible - complete) as u32));
+            }
+        }
+        let floor = self.records[i].dispatch + 1;
+        match best {
+            Some((visible, slot, producer, fwd))
+                if visible > floor || (visible == floor && fwd == 0) =>
+            {
+                ReadyBound::Operand {
+                    slot,
+                    producer,
+                    fwd,
+                }
+            }
+            _ => ReadyBound::Dispatch,
+        }
+    }
+
     /// Per-cluster select and execute, clusters in ascending order.
     /// Within a cluster, ready entries issue in priority order (ties
     /// oldest first) until the issue width or a port class runs out;
@@ -291,6 +336,7 @@ impl Machine<'_> {
         self.records[i].ready = self
             .ready_cycle(i, cluster)
             .expect("an issuing instruction has all operands determined");
+        self.records[i].ready_bound = self.ready_bound(i, cluster);
         self.records[i].complete = t + latency;
         self.complete[i] = Some(t + latency);
         self.broadcast[i] = Some(self.broadcast_slot(cluster, t + latency));
@@ -451,10 +497,11 @@ impl Machine<'_> {
 }
 
 /// A fresh record with every event at cycle 0 and neutral attribution.
-/// The oracle fills event times and the policy-visible fields
-/// (`cluster`, `steer_cause`, `predicted_critical`, `loc`, flags); the
-/// binding-constraint enums are engine diagnostics the oracle does not
-/// reconstruct, and differential comparison ignores them.
+/// The oracle fills event times, the policy-visible fields (`cluster`,
+/// `steer_cause`, `predicted_critical`, `loc`, flags) and `ready_bound`,
+/// which policies read at commit. `dispatch_bound` and `commit_bound`
+/// are engine diagnostics no policy reads; the oracle does not
+/// reconstruct them, and differential comparison ignores them.
 fn blank_record() -> InstRecord {
     InstRecord {
         fetch: 0,

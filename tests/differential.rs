@@ -99,3 +99,41 @@ fn long_trace_cases_agree_end_to_end() {
         }
     }
 }
+
+/// The adaptive switcher under the oracle, at the grid's 20 000
+/// instructions on every benchmark and clustered layout. The switcher
+/// re-scores its rung from the share of commits whose readiness was
+/// bound by a forwarded operand, read from each record's `ready_bound`.
+/// The oracle therefore has to reconstruct that attribution from its own
+/// timing; with a blank one it sees a share of 0, switches differently,
+/// and 16 of these 36 cells diverge.
+#[test]
+fn adaptive_cells_agree_at_grid_scale() {
+    let layouts = [ClusterLayout::C2x4w, ClusterLayout::C4x2w, ClusterLayout::C8x1w];
+    let cases: Vec<(ccs_trace::Benchmark, ClusterLayout)> = ccs_trace::Benchmark::ALL
+        .into_iter()
+        .flat_map(|b| layouts.map(|l| (b, l)))
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let outcomes = parallel_map(&cases, threads, |&(bench, layout)| {
+        let trace = bench.generate(1, 20_000);
+        let config = ccs_isa::MachineConfig::micro05_baseline().with_layout(layout);
+        let describe = format!("{} {layout} adaptive", bench.name());
+        ccs_verify::run_trace_case(&trace, &config, ccs_core::PolicyKind::Adaptive, 2, &describe)
+    });
+    let failures: Vec<String> = outcomes
+        .into_iter()
+        .filter_map(|o| match o {
+            Ok(CaseOutcome::Agreed) => None,
+            Ok(CaseOutcome::Diverged(lines)) => Some(lines.join("\n  ")),
+            Err(infra) => Some(infra),
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} adaptive cells diverged:\n{}",
+        failures.len(),
+        cases.len(),
+        failures.join("\n")
+    );
+}
